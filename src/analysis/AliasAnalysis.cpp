@@ -177,30 +177,18 @@ MemLocation AliasAnalysis::getLocation(const Value *Addr) const {
   return Loc;
 }
 
+bool AliasAnalysis::escapes(const Instruction *Alloca) const {
+  if (!CacheEnabled)
+    return addressEscapes(Alloca);
+  auto [It, Inserted] = EscapeCache.try_emplace(Alloca, false);
+  if (Inserted)
+    It->second = addressEscapes(Alloca);
+  return It->second;
+}
+
 AliasResult AliasAnalysis::alias(const Value *AddrA, uint8_t SizeA,
                                  const Value *AddrB, uint8_t SizeB,
                                  bool CrossIteration) const {
-  if (!CacheEnabled)
-    return aliasUncached(AddrA, SizeA, AddrB, SizeB, CrossIteration);
-  // alias() is symmetric in its two accesses, so canonicalize the key:
-  // lower pointer first (sizes travel with their address; tie-break on
-  // size when both addresses are the same Value).
-  QueryKey K{AddrA, AddrB, SizeA, SizeB, CrossIteration};
-  if (AddrB < AddrA || (AddrA == AddrB && SizeB < SizeA)) {
-    std::swap(K.A, K.B);
-    std::swap(K.SizeA, K.SizeB);
-  }
-  auto It = QueryCache.find(K);
-  if (It != QueryCache.end())
-    return It->second;
-  AliasResult R = aliasUncached(AddrA, SizeA, AddrB, SizeB, CrossIteration);
-  QueryCache.emplace(K, R);
-  return R;
-}
-
-AliasResult AliasAnalysis::aliasUncached(const Value *AddrA, uint8_t SizeA,
-                                         const Value *AddrB, uint8_t SizeB,
-                                         bool CrossIteration) const {
   if (AddrA == AddrB && !CrossIteration)
     return SizeA == SizeB ? AliasResult::MustAlias : AliasResult::MayAlias;
 
@@ -259,7 +247,7 @@ AliasResult AliasAnalysis::aliasUncached(const Value *AddrA, uint8_t SizeA,
     const MemLocation &Known = A.isIdentified() ? A : B;
     if (Known.isIdentified()) {
       if (const auto *AI = dyn_cast<Instruction>(Known.Base))
-        if (AI->getOpcode() == Opcode::Alloca && !addressEscapes(AI))
+        if (AI->getOpcode() == Opcode::Alloca && !escapes(AI))
           return AliasResult::NoAlias;
     }
   }

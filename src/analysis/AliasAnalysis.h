@@ -53,15 +53,14 @@ struct MemLocation {
 
 /// Per-function alias queries at a configurable precision.
 ///
-/// Queries are pure functions of the IR, so results are memoized: address
-/// decompositions per Value, and pair verdicts per canonicalized
-/// (AddrA, SizeA, AddrB, SizeB, CrossIteration) key — alias() is
-/// symmetric, so (A, B) and (B, A) share one entry. The O(N²)
-/// access-pair loop in MemoryDependence therefore never re-computes a
-/// query it (or any earlier pass holding the same AliasAnalysis) already
-/// issued. The caches key on Value pointers: invalidate() (or a fresh
-/// AliasAnalysis) is required after the IR is mutated. Instances are not
-/// thread-safe; use one per thread.
+/// Two per-Value memos make a verdict cheap: the address decomposition
+/// of each queried address (LocationCache), and whether each alloca's
+/// address escapes (EscapeCache; the only query that walks the IR's
+/// use lists). With both warm, a verdict is a few compares, so pair
+/// verdicts themselves are not memoized. The memos key on Value
+/// pointers and describe the IR as it was when first asked:
+/// invalidate() (or a fresh AliasAnalysis) is required after the IR is
+/// mutated. Instances are not thread-safe; use one per thread.
 class AliasAnalysis {
 public:
   explicit AliasAnalysis(AliasPrecision P, bool EnableCache = true)
@@ -72,7 +71,7 @@ public:
   /// Drops all memoized results (call after mutating the IR).
   void invalidate() const {
     LocationCache.clear();
-    QueryCache.clear();
+    EscapeCache.clear();
   }
 
   /// Decomposes the address \p Addr (as used by a load/store).
@@ -96,37 +95,14 @@ public:
 
 private:
   MemLocation decompose(const Value *Addr, unsigned Depth) const;
-  AliasResult aliasUncached(const Value *AddrA, uint8_t SizeA,
-                            const Value *AddrB, uint8_t SizeB,
-                            bool CrossIteration) const;
-
-  /// Canonicalized pair-query key: the lower pointer first (alias() is
-  /// symmetric), sizes in matching order, plus the cross-iteration flag.
-  struct QueryKey {
-    const Value *A;
-    const Value *B;
-    uint8_t SizeA;
-    uint8_t SizeB;
-    bool Cross;
-    bool operator==(const QueryKey &O) const {
-      return A == O.A && B == O.B && SizeA == O.SizeA && SizeB == O.SizeB &&
-             Cross == O.Cross;
-    }
-  };
-  struct QueryKeyHash {
-    size_t operator()(const QueryKey &K) const {
-      size_t H = std::hash<const void *>()(K.A);
-      H = H * 1000003u ^ std::hash<const void *>()(K.B);
-      H = H * 1000003u ^
-          (size_t(K.SizeA) << 10 | size_t(K.SizeB) << 2 | size_t(K.Cross));
-      return H;
-    }
-  };
+  /// True if the address of \p Alloca can leak beyond direct address
+  /// arithmetic (memoized per alloca).
+  bool escapes(const Instruction *Alloca) const;
 
   AliasPrecision Precision;
   bool CacheEnabled;
   mutable std::unordered_map<const Value *, MemLocation> LocationCache;
-  mutable std::unordered_map<QueryKey, AliasResult, QueryKeyHash> QueryCache;
+  mutable std::unordered_map<const Instruction *, bool> EscapeCache;
 };
 
 } // namespace wario

@@ -6,40 +6,44 @@ CFGReachability::CFGReachability(const Function &F, const LoopInfo &LI) {
   unsigned N = 0;
   for (const BasicBlock *BB : F)
     Index[BB] = N++;
-  Full.assign(N, std::vector<bool>(N, false));
-  Forward.assign(N, std::vector<bool>(N, false));
+  Words = (N + 63) / 64;
+  Full.assign(N * Words, 0);
+  Forward.assign(N * Words, 0);
+
+  // Successor indices with their back-edge flags, built once.
+  struct Edge {
+    unsigned To;
+    bool Back;
+  };
+  std::vector<std::vector<Edge>> Succs(N);
+  unsigned B = 0;
+  for (const BasicBlock *BB : F) {
+    for (const BasicBlock *Succ : BB->successors())
+      Succs[B].push_back({Index.at(Succ), LI.isBackEdge(BB, Succ)});
+    ++B;
+  }
 
   // BFS from every block; N is small for embedded code.
-  for (const BasicBlock *Start : F) {
-    unsigned S = Index.at(Start);
+  std::vector<unsigned> Work;
+  for (unsigned S = 0; S != N; ++S) {
     for (int UseBackEdges = 0; UseBackEdges != 2; ++UseBackEdges) {
-      auto &Row = UseBackEdges ? Full[S] : Forward[S];
-      std::vector<const BasicBlock *> Work{Start};
+      uint64_t *Row = (UseBackEdges ? Full : Forward).data() + S * Words;
+      Work.assign(1, S);
       while (!Work.empty()) {
-        const BasicBlock *BB = Work.back();
+        unsigned X = Work.back();
         Work.pop_back();
-        for (const BasicBlock *Succ : BB->successors()) {
-          if (!UseBackEdges && LI.isBackEdge(BB, Succ))
+        for (const Edge &E : Succs[X]) {
+          if (!UseBackEdges && E.Back)
             continue;
-          unsigned T = Index.at(Succ);
-          if (Row[T])
+          uint64_t Bit = uint64_t(1) << (E.To % 64);
+          if (Row[E.To / 64] & Bit)
             continue;
-          Row[T] = true;
-          Work.push_back(Succ);
+          Row[E.To / 64] |= Bit;
+          Work.push_back(E.To);
         }
       }
     }
   }
-}
-
-bool CFGReachability::reaches(const BasicBlock *From,
-                              const BasicBlock *To) const {
-  return Full[Index.at(From)][Index.at(To)];
-}
-
-bool CFGReachability::forwardReaches(const BasicBlock *From,
-                                     const BasicBlock *To) const {
-  return Forward[Index.at(From)][Index.at(To)];
 }
 
 MemoryDependence::MemoryDependence(const Function &F, const AliasAnalysis &AA,
@@ -48,39 +52,58 @@ MemoryDependence::MemoryDependence(const Function &F, const AliasAnalysis &AA,
   // Collect memory accesses with their block positions, in program order.
   struct Access {
     Instruction *I;
-    const BasicBlock *BB;
+    unsigned Block; ///< Dense block index (Reach.indexOf(its block)).
     unsigned Pos;
     bool IsLoad; ///< Hoisted out of the O(N^2) pair loop below.
   };
   std::vector<Access> Accesses;
+  std::vector<const BasicBlock *> Blocks;
   for (const BasicBlock *BB : F) {
     unsigned Pos = 0;
     for (Instruction *I : *BB) {
       if (I->isMemoryAccess())
-        Accesses.push_back({I, BB, Pos, I->getOpcode() == Opcode::Load});
+        Accesses.push_back({I, unsigned(Blocks.size()), Pos,
+                            I->getOpcode() == Opcode::Load});
       ++Pos;
     }
+    Blocks.push_back(BB);
   }
+
+  // SharesLoop[x][y]: some loop enclosing block x also contains block y.
+  // One bitset per loop, OR-ed along each block's loop-parent chain.
+  size_t N = Blocks.size(), Words = (N + 63) / 64;
+  std::unordered_map<const Loop *, std::vector<uint64_t>> LoopBits;
+  for (const Loop *L : LI.loops()) {
+    std::vector<uint64_t> &Bits = LoopBits[L];
+    Bits.assign(Words, 0);
+    for (const BasicBlock *BB : L->blocks()) {
+      unsigned B = Reach.indexOf(BB);
+      Bits[B / 64] |= uint64_t(1) << (B % 64);
+    }
+  }
+  std::vector<uint64_t> SharesLoop(N * Words, 0);
+  for (size_t B = 0; B != N; ++B)
+    for (const Loop *L = LI.getLoopFor(Blocks[B]); L; L = L->getParent())
+      for (size_t W = 0; W != Words; ++W)
+        SharesLoop[B * Words + W] |= LoopBits.at(L)[W];
 
   // X can execute and Y follow within the same iteration instance
   // (no back edge on the path).
   auto DirectFollow = [&](const Access &X, const Access &Y) {
-    if (X.BB == Y.BB)
+    if (X.Block == Y.Block)
       return X.Pos < Y.Pos;
-    return Reach.forwardReaches(X.BB, Y.BB);
+    return Reach.forwardReaches(X.Block, Y.Block);
   };
   // X can execute and Y follow around at least one back edge. Both
   // sitting in any common loop suffices for that to be realizable.
   auto CarriedFollow = [&](const Access &X, const Access &Y) {
-    if (X.BB == Y.BB)
-      return Reach.onCycle(X.BB);
-    if (!Reach.reaches(X.BB, Y.BB))
+    if (X.Block == Y.Block)
+      return Reach.onCycle(X.Block);
+    if (!Reach.reaches(X.Block, Y.Block))
       return false;
-    Loop *LX = LI.getLoopFor(X.BB);
-    for (Loop *L = LX; L; L = L->getParent())
-      if (L->contains(Y.BB))
-        return true;
-    return !Reach.forwardReaches(X.BB, Y.BB); // Reachable only via cycle.
+    if (SharesLoop[X.Block * Words + Y.Block / 64] >> (Y.Block % 64) & 1)
+      return true;
+    return !Reach.forwardReaches(X.Block, Y.Block); // Only via a cycle.
   };
 
   // A pair can produce *two* dependences: a direct one (same iteration
@@ -88,8 +111,8 @@ MemoryDependence::MemoryDependence(const Function &F, const AliasAnalysis &AA,
   // (different iterations: cross-iteration aliasing). Both matter — e.g.
   // `w[t] = f(w[t+3])` has no direct WAR (disjoint within an iteration)
   // but a real carried WAR three iterations later.
-  // AA memoizes each symmetric (address, size) pair verdict, so the
-  // second half of this ordered-pair sweep costs hash lookups only.
+  // AA memoizes each address's decomposition, so a verdict here costs
+  // a few compares.
   for (const Access &A : Accesses) {
     for (const Access &B : Accesses) {
       if (A.I == B.I)

@@ -35,22 +35,46 @@ struct MemDep {
 };
 
 /// Block-level reachability over a function CFG, with and without back
-/// edges. Built once per function; O(blocks^2) bits.
+/// edges. Built once per function: one BFS per block over successor
+/// index lists, into uint64_t bitset rows (O(blocks^2) bits). Queries
+/// take dense block indices (function block order) or block pointers.
 class CFGReachability {
 public:
   CFGReachability(const Function &F, const LoopInfo &LI);
 
-  /// True if a path with at least one edge leads from \p From to \p To.
-  bool reaches(const BasicBlock *From, const BasicBlock *To) const;
+  /// Dense index of \p BB: its position in the function's block list.
+  unsigned indexOf(const BasicBlock *BB) const { return Index.at(BB); }
+
+  /// True if a path with at least one edge leads from block \p From to
+  /// block \p To.
+  bool reaches(unsigned From, unsigned To) const {
+    return test(Full, From, To);
+  }
   /// Same, but using no loop back edges.
-  bool forwardReaches(const BasicBlock *From, const BasicBlock *To) const;
-  /// True if \p BB lies on a cycle.
-  bool onCycle(const BasicBlock *BB) const { return reaches(BB, BB); }
+  bool forwardReaches(unsigned From, unsigned To) const {
+    return test(Forward, From, To);
+  }
+  /// True if block \p B lies on a cycle.
+  bool onCycle(unsigned B) const { return reaches(B, B); }
+
+  bool reaches(const BasicBlock *From, const BasicBlock *To) const {
+    return reaches(indexOf(From), indexOf(To));
+  }
+  bool forwardReaches(const BasicBlock *From, const BasicBlock *To) const {
+    return forwardReaches(indexOf(From), indexOf(To));
+  }
+  bool onCycle(const BasicBlock *BB) const { return onCycle(indexOf(BB)); }
 
 private:
+  bool test(const std::vector<uint64_t> &Rows, unsigned From,
+            unsigned To) const {
+    return Rows[size_t(From) * Words + To / 64] >> (To % 64) & 1;
+  }
+
   std::unordered_map<const BasicBlock *, unsigned> Index;
-  std::vector<std::vector<bool>> Full;    // [from][to]
-  std::vector<std::vector<bool>> Forward; // [from][to]
+  size_t Words = 0;               // uint64_t words per row.
+  std::vector<uint64_t> Full;    // Row-major [from][to] bitsets.
+  std::vector<uint64_t> Forward; // Same, back edges excluded.
 };
 
 /// Computes all memory dependences of a function.

@@ -8,7 +8,6 @@
 #include "transforms/Utils.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 using namespace wario;
@@ -61,17 +60,29 @@ bool isCandidate(Loop &L, const Analyses &A) {
 }
 
 /// Per-instruction position in the unrolled body, iteration-major; used
-/// as "original program order" after unrolling.
-using OrderMap = std::unordered_map<const Instruction *, unsigned>;
+/// as "original program order" after unrolling. Indexed by
+/// Instruction::getId(); instructions outside the body have no position.
+class OrderMap {
+public:
+  OrderMap() = default;
+  OrderMap(const Function &F, const std::vector<BasicBlock *> &Blocks)
+      : Pos(F.nextInstId(), None) {
+    unsigned N = 0;
+    for (BasicBlock *BB : Blocks)
+      for (Instruction *I : *BB)
+        Pos[I->getId()] = N++;
+  }
 
-OrderMap numberBody(const std::vector<BasicBlock *> &Blocks) {
-  OrderMap Order;
-  unsigned N = 0;
-  for (BasicBlock *BB : Blocks)
-    for (Instruction *I : *BB)
-      Order[I] = N++;
-  return Order;
-}
+  unsigned at(const Instruction *I) const {
+    assert(I->getId() < Pos.size() && Pos[I->getId()] != None &&
+           "instruction is not in the numbered body");
+    return Pos[I->getId()];
+  }
+
+private:
+  static constexpr unsigned None = ~0u;
+  std::vector<unsigned> Pos;
+};
 
 class LoopTransformer {
 public:
@@ -84,7 +95,7 @@ public:
   bool run(const UnrollResult &UR) {
     Body = UR.allBlocks();
     BodySet.insert(Body.begin(), Body.end());
-    Order = numberBody(Body);
+    Order = OrderMap(F, Body);
 
     Analyses A(F, AA);
     Loop *L = A.LI.getLoopFor(Body.front());

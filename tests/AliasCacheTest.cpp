@@ -1,11 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential test of the alias-query memoization cache: cached and
-/// uncached AliasAnalysis must produce identical MemoryDependence sets
-/// (all kinds, not just WAR) on randomly generated programs and on the
-/// paper workloads, at both precision levels. Any divergence means the
-/// symmetric canonicalization or an invalidation point is wrong.
+/// Tests of AliasAnalysis's memos (address decompositions and per-alloca
+/// escape verdicts). Cached and uncached AliasAnalysis must produce
+/// identical MemoryDependence sets (all kinds, not just WAR) on randomly
+/// generated programs and on the paper workloads, at both precision
+/// levels; and invalidate() must drop a verdict a rewrite made stale.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,6 +13,7 @@
 
 #include "analysis/MemoryDependence.h"
 #include "frontend/Frontend.h"
+#include "ir/IRBuilder.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -110,6 +111,36 @@ TEST(AliasCache, RepeatedQueriesAreStable) {
                       Uncached.alias(A, B, Cross));
         }
   }
+}
+
+/// The escape memo describes the IR as first queried. A rewrite that
+/// stores an alloca's address makes it escape; once invalidate() drops
+/// the memo, an access to the alloca may alias an unknown pointer.
+TEST(AliasCache, InvalidateDropsStaleEscapeVerdict) {
+  Module M("escape");
+  GlobalVariable *Slot = M.createGlobal("slot", 4);
+  Function *F = M.createFunction("main", 0, /*ReturnsVal=*/true);
+  IRBuilder IRB(&M);
+  IRB.setInsertPoint(F->createBlock("entry"));
+  Instruction *Buf = IRB.createAlloca(16, "buf");
+  Instruction *ToBuf = IRB.createStore(IRB.getInt(1), Buf);
+  Instruction *P = IRB.createLoad(Slot, 4, false, "p"); // Unknown pointer.
+  Instruction *ThroughP = IRB.createLoad(P, 4, false, "v");
+  IRB.createRet(ThroughP);
+
+  AliasAnalysis AA(AliasPrecision::Precise);
+  EXPECT_EQ(AA.alias(ToBuf, ThroughP), AliasResult::NoAlias);
+
+  // Publish buf's address through @slot before the unknown pointer is
+  // loaded from it.
+  IRB.setInsertPoint(P);
+  IRB.createStore(Buf, Slot);
+  EXPECT_EQ(AA.alias(ToBuf, ThroughP), AliasResult::NoAlias)
+      << "the memo should still hold the pre-rewrite verdict";
+  AA.invalidate();
+  EXPECT_EQ(AA.alias(ToBuf, ThroughP), AliasResult::MayAlias);
+  AliasAnalysis Uncached(AliasPrecision::Precise, /*EnableCache=*/false);
+  EXPECT_EQ(Uncached.alias(ToBuf, ThroughP), AliasResult::MayAlias);
 }
 
 } // namespace
