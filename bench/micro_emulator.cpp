@@ -74,18 +74,6 @@ void runEmulatorBench(benchmark::State &State, const std::string &Name,
         100.0 * double(St.FusedInstructions) /
         double(std::max<uint64_t>(St.ThreadedInstructions, 1));
   }
-  // Hot-trace layer (all zero unless WARIO_ENGINE resolves to trace):
-  // superblocks stitched, straight-line entries, guard exits, and
-  // margin/event invalidations.
-  if (St.TracesBuilt || St.SuperblockDispatches) {
-    State.counters["traces_built"] = double(St.TracesBuilt);
-    State.counters["sb_dispatches/s"] = benchmark::Counter(
-        double(St.SuperblockDispatches), benchmark::Counter::kIsRate);
-    State.counters["sb_side_exit_pct"] =
-        100.0 * double(St.SideExits) /
-        double(std::max<uint64_t>(St.SuperblockDispatches, 1));
-    State.counters["sb_invalidations"] = double(St.Invalidations);
-  }
 }
 
 EmulatorOptions continuousNoRegions() {
@@ -113,8 +101,8 @@ void BM_EmulatorContinuous_AES(benchmark::State &State) {
 BENCHMARK(BM_EmulatorContinuous_AES);
 
 /// Same-run engine matrix: each workload under an explicitly pinned
-/// engine, so one benchmark invocation yields trace-vs-interp (and
-/// threaded-vs-interp) ratios with machine noise common to both sides.
+/// engine, so one benchmark invocation yields threaded-vs-interp
+/// ratios with machine noise common to both sides.
 /// The Continuous rows above stay on EngineKind::Auto for trajectory
 /// comparability with earlier BENCH_pr*.json snapshots.
 void runEngineBench(benchmark::State &State, const std::string &Name,
@@ -131,8 +119,7 @@ void runEngineBench(benchmark::State &State, const std::string &Name,
   BENCHMARK(BM_Engine_##NAME##_##W);
 #define WARIO_ENGINE_BENCHES(W)                                                \
   WARIO_ENGINE_BENCH(W, Interp, Interp)                                        \
-  WARIO_ENGINE_BENCH(W, Threaded, Threaded)                                    \
-  WARIO_ENGINE_BENCH(W, Trace, Trace)
+  WARIO_ENGINE_BENCH(W, Threaded, Threaded)
 WARIO_ENGINE_BENCHES(crc)
 WARIO_ENGINE_BENCHES(sha)
 WARIO_ENGINE_BENCHES(aes)

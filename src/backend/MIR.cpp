@@ -125,7 +125,8 @@ void printReg(std::ostringstream &OS, int R, bool PostRA) {
     OS << "%v" << R;
 }
 
-void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
+void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F,
+               const MModule *M) {
   OS << mopName(I.Op);
   auto Reg = [&](int R) { printReg(OS, R, F.PostRA); };
   switch (I.Op) {
@@ -217,7 +218,14 @@ void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
     break;
   }
   case MOp::Bl:
-    OS << " @" << I.Callee->getName();
+    OS << " @";
+    if (I.Callee)
+      OS << I.Callee->getName();
+    else if (M && I.CalleeIdx >= 0 &&
+             unsigned(I.CalleeIdx) < M->Functions.size())
+      OS << M->Functions[unsigned(I.CalleeIdx)].Name;
+    else
+      OS << "fn" << I.CalleeIdx;
     break;
   case MOp::B:
     OS << ' ' << F.Blocks[I.Target[0]].Name;
@@ -268,7 +276,7 @@ void printInst(std::ostringstream &OS, const MInst &I, const MFunction &F) {
 
 } // namespace
 
-std::string wario::printMFunction(const MFunction &F) {
+std::string wario::printMFunction(const MFunction &F, const MModule *M) {
   std::ostringstream OS;
   OS << "mfunc @" << F.Name << " (vregs=" << F.NumVRegs
      << ", slots=" << F.Slots.size() << ")\n";
@@ -276,7 +284,7 @@ std::string wario::printMFunction(const MFunction &F) {
     OS << BB.Name << ":\n";
     for (const MInst &I : BB.Insts) {
       OS << "  ";
-      printInst(OS, I, F);
+      printInst(OS, I, F, M);
       OS << '\n';
     }
   }
@@ -286,6 +294,6 @@ std::string wario::printMFunction(const MFunction &F) {
 std::string wario::printMModule(const MModule &M) {
   std::string S;
   for (const MFunction &F : M.Functions)
-    S += printMFunction(F) + "\n";
+    S += printMFunction(F, &M) + "\n";
   return S;
 }

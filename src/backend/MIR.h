@@ -201,8 +201,10 @@ struct MModule {
   }
 };
 
-/// Renders a machine function as text (for tests and debugging).
-std::string printMFunction(const MFunction &F);
+/// Renders a machine function as text (for tests and debugging). After
+/// the link step a call names its callee only by index into the module:
+/// pass \p M to print the callee's name, else it prints as @fn<index>.
+std::string printMFunction(const MFunction &F, const MModule *M = nullptr);
 std::string printMModule(const MModule &M);
 
 } // namespace wario

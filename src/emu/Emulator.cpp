@@ -103,7 +103,6 @@ EmulatorResult Machine::run(const std::string &Entry) {
   const EngineKind EK = resolveEngine(Opts.Engine);
   UseThreaded = EK != EngineKind::Interp && !P.Fast.empty() &&
                 Strat == CheckpointStrategy::Idempotent;
-  UseTrace = UseThreaded && EK == EngineKind::Trace;
   if (Strat == CheckpointStrategy::Differential)
     DiffMark.assign(snapshot::NumPages, 0);
 
@@ -275,7 +274,6 @@ void Machine::prepareScratch() {
     Scr.TouchedMark.assign(snapshot::NumPages, 0);
     Scr.Touched.clear();
     Scr.Owner = P.Uid;
-    Scr.Trace = emu_detail::TraceState{}; // Superblocks are per-module.
     return;
   }
   for (uint32_t Pg : Scr.Touched) {

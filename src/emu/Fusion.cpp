@@ -64,15 +64,10 @@ unsigned compCost(const DecodedInst &I) {
   }
 }
 
-} // namespace
-
-// Defined in Fusion.h: maps two adjacent group kinds to a second-level
-// concatenated kind, or FK_KindLimit when the pair isn't in the
-// catalog. Any ALU-ALU identity pair that escaped the first pass lands
-// in the 9x9 family. Shared with the trace engine's path refusion
-// (Trace.cpp), which runs the same fixpoint under the relaxed
-// TraceRefuseCostLimit.
-uint16_t emu_detail::pairKind(uint16_t K1, uint16_t K2) {
+/// Maps two adjacent group kinds to a second-level concatenated kind,
+/// or FK_KindLimit when the pair isn't in the catalog. Any ALU-ALU
+/// identity pair that escaped the first pass lands in the 9x9 family.
+uint16_t pairKind(uint16_t K1, uint16_t K2) {
   switch (uint32_t(K1) << 16 | K2) {
 #define WARIO_PK(NAME, A, B)                                                   \
   case uint32_t(A) << 16 | (B):                                                \
@@ -89,8 +84,6 @@ uint16_t emu_detail::pairKind(uint16_t K1, uint16_t K2) {
   }
   return FK_KindLimit;
 }
-
-namespace {
 
 /// Cycle cost of the group starting at \p pc (identity entries carry
 /// Cost 0 in the stream; their cost is the component's own).

@@ -15,6 +15,8 @@
 #include "backend/ISel.h"
 #include "driver/Pipeline.h"
 #include "emu/Emulator.h"
+#include "frontend/Frontend.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,36 @@ const std::vector<std::pair<const char *, ModuleBuilder>> &testPrograms() {
 }
 
 } // namespace
+
+//===----------------------------------------------------------------------===//
+// MIR printer
+//===----------------------------------------------------------------------===//
+
+/// The link step drops MInst::Callee and keeps only CalleeIdx, so the
+/// printer must name a linked call's callee from the module.
+TEST(MIRPrinterTest, PrintsLinkedCallees) {
+  unsigned Calls = 0;
+  for (const Workload &W : allWorkloads()) {
+    DiagnosticEngine Diags;
+    auto M = buildWorkloadIR(W, Diags);
+    ASSERT_TRUE(M) << W.Name << ": " << Diags.formatAll();
+    MModule MM = compile(*M, PipelineOptions{});
+    std::string Text = printMModule(MM);
+    for (const MFunction &F : MM.Functions)
+      for (const MBasicBlock &BB : F.Blocks)
+        for (const MInst &I : BB.Insts)
+          if (I.Op == MOp::Bl) {
+            ASSERT_EQ(I.Callee, nullptr) << W.Name << ": call not linked";
+            ASSERT_GE(I.CalleeIdx, 0) << W.Name;
+            const std::string &Callee =
+                MM.Functions[unsigned(I.CalleeIdx)].Name;
+            EXPECT_NE(Text.find("bl @" + Callee), std::string::npos)
+                << W.Name << ": " << Callee;
+            ++Calls;
+          }
+  }
+  EXPECT_GT(Calls, 0u) << "no workload keeps a call after compile";
+}
 
 //===----------------------------------------------------------------------===//
 // ISel / RegAlloc basics

@@ -1,16 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Differential tests for the three execution engines (label: `engine`):
-/// the direct-threaded fused-dispatch engine and the hot-trace
-/// superblock engine (ThreadedEngine.cpp + Trace.cpp) must be
-/// byte-identical — field-wise EmulatorResult operator==, including the
-/// final NVM image, output, event traces, and every counter — to the
-/// central-switch interpreter (the oracle) for every workload under
+/// Differential tests for the two execution engines (label: `engine`):
+/// the direct-threaded fused-dispatch engine (ThreadedEngine.cpp) must
+/// be byte-identical — field-wise EmulatorResult operator==, including
+/// the final NVM image, output, event traces, and every counter — to
+/// the central-switch interpreter (the oracle) for every workload under
 /// continuous power, crash schedules, harvester traces, and interrupts.
 /// Also covers the WARIO_ENGINE environment kill switch (unset resolves
-/// to trace), mixed-engine snapshot record/replay in all six directions,
-/// and the 16-bit SWAR WAR-stamp epoch wrap at 2^15.
+/// to threaded), mixed-engine snapshot record/replay in both
+/// directions, the 16-bit SWAR WAR-stamp epoch wrap at 2^15, and crash
+/// campaign dispatch statistics that must not depend on the worker
+/// count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,7 @@
 #include "emu/Snapshot.h"
 #include "emu/ThreadedEngine.h"
 #include "frontend/Frontend.h"
+#include "verify/FaultInjector.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -48,36 +50,24 @@ std::vector<Workload> matrixWorkloads() {
   return allWorkloads();
 }
 
-/// Runs the module under all three engines and requires field-wise
-/// identical results. Returns the oracle result for further checks;
-/// \p TraceSt (optional) receives the trace engine's stats so callers
-/// can assert superblock activity.
+/// Runs the module under both engines and requires field-wise
+/// identical results. Returns the oracle result for further checks.
 EmulatorResult expectEngineIdentical(const Emulator &E,
                                      const EmulatorOptions &Base,
-                                     const std::string &Tag,
-                                     EngineStats *TraceSt = nullptr) {
-  EmulatorOptions Interp = Base, Threaded = Base, Trace = Base;
+                                     const std::string &Tag) {
+  EmulatorOptions Interp = Base, Threaded = Base;
   Interp.Engine = EngineKind::Interp;
   Threaded.Engine = EngineKind::Threaded;
-  Trace.Engine = EngineKind::Trace;
-  EngineStats IS, TS, TrS;
+  EngineStats IS, TS;
   EmulatorResult RI = E.run(Interp, "main", nullptr, &IS);
   EmulatorResult RT = E.run(Threaded, "main", nullptr, &TS);
-  EmulatorResult RTr = E.run(Trace, "main", nullptr, &TrS);
-  EXPECT_TRUE(RI == RT) << Tag << " (threaded)";
-  EXPECT_TRUE(RI == RTr) << Tag << " (trace)";
+  EXPECT_TRUE(RI == RT) << Tag;
   // The interpreter never dispatches through the threaded loop; the
-  // other engines must actually have used it (or the test proves
-  // nothing about equivalence). The threaded engine must never touch
-  // the trace layer.
+  // threaded engine must actually have used it (or the test proves
+  // nothing about equivalence).
   EXPECT_EQ(IS.Dispatches, 0u) << Tag;
   EXPECT_GT(TS.Dispatches, 0u) << Tag;
-  EXPECT_GT(TrS.Dispatches, 0u) << Tag;
-  EXPECT_EQ(TS.TracesBuilt, 0u) << Tag;
-  EXPECT_EQ(TS.SuperblockDispatches, 0u) << Tag;
   EXPECT_LE(TS.ThreadedInstructions, RT.InstructionsExecuted) << Tag;
-  if (TraceSt)
-    *TraceSt = TrS;
   return RI;
 }
 
@@ -85,9 +75,6 @@ EmulatorResult expectEngineIdentical(const Emulator &E,
 
 /// Continuous power, with region sizes and the event trace collected:
 /// the widest observable surface (Commits, StoreCycles, RegionSizes).
-/// Every workload's hot loop must actually reach the superblock layer
-/// (heat threshold crossed, traces built, straight-line dispatches) —
-/// otherwise the trace column of the matrix degenerates to threaded.
 TEST(EngineEquivalenceTest, ContinuousRunsAreByteIdentical) {
   for (const Workload &W : matrixWorkloads()) {
     MModule MM = buildWorkload(W.Name);
@@ -95,11 +82,8 @@ TEST(EngineEquivalenceTest, ContinuousRunsAreByteIdentical) {
     Emulator E(MM);
     EmulatorOptions EO;
     EO.CollectEventTrace = true;
-    EngineStats TrS;
-    EmulatorResult R = expectEngineIdentical(E, EO, W.Name, &TrS);
+    EmulatorResult R = expectEngineIdentical(E, EO, W.Name);
     EXPECT_TRUE(R.Ok) << W.Name << ": " << R.Error;
-    EXPECT_GT(TrS.TracesBuilt, 0u) << W.Name;
-    EXPECT_GT(TrS.SuperblockDispatches, 0u) << W.Name;
   }
 }
 
@@ -145,10 +129,10 @@ TEST(EngineEquivalenceTest, InterruptRunsAreByteIdentical) {
 }
 
 /// The WARIO_ENGINE kill switch: with Engine = Auto, "interp" must
-/// force the oracle (zero threaded dispatches), "threaded" the fused
-/// engine with the trace layer dark, and anything else — including
-/// unset — the trace engine. Results must not depend on the choice,
-/// and an explicit EmulatorOptions::Engine beats the environment.
+/// force the oracle (zero threaded dispatches); "threaded", unset, and
+/// any unknown value (such as "trace") select the threaded engine.
+/// Results must not depend on the choice, and an explicit
+/// EmulatorOptions::Engine beats the environment.
 TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
   MModule MM = buildWorkload("crc");
   ASSERT_FALSE(MM.Functions.empty());
@@ -156,33 +140,34 @@ TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
   EmulatorOptions EO; // Engine = Auto.
 
   ASSERT_EQ(setenv("WARIO_ENGINE", "interp", 1), 0);
+  EXPECT_EQ(resolveEngine(EngineKind::Auto), EngineKind::Interp);
   EngineStats KillStats;
   EmulatorResult Killed = E.run(EO, "main", nullptr, &KillStats);
   EXPECT_EQ(KillStats.Dispatches, 0u)
       << "WARIO_ENGINE=interp must disable threaded dispatch";
 
   ASSERT_EQ(setenv("WARIO_ENGINE", "threaded", 1), 0);
+  EXPECT_EQ(resolveEngine(EngineKind::Auto), EngineKind::Threaded);
   EngineStats ThrStats;
   EmulatorResult Threaded = E.run(EO, "main", nullptr, &ThrStats);
   EXPECT_GT(ThrStats.Dispatches, 0u);
-  EXPECT_EQ(ThrStats.TracesBuilt, 0u)
-      << "WARIO_ENGINE=threaded must keep the trace layer dark";
-  EXPECT_EQ(ThrStats.SuperblockDispatches, 0u);
 
   ASSERT_EQ(setenv("WARIO_ENGINE", "trace", 1), 0);
-  EngineStats TrStats;
-  EmulatorResult Traced = E.run(EO, "main", nullptr, &TrStats);
-  EXPECT_GT(TrStats.Dispatches, 0u);
-  EXPECT_GT(TrStats.SuperblockDispatches, 0u);
+  EXPECT_EQ(resolveEngine(EngineKind::Auto), EngineKind::Threaded)
+      << "an unknown WARIO_ENGINE value must fall back to threaded";
+  EngineStats UnkStats;
+  EmulatorResult Unknown = E.run(EO, "main", nullptr, &UnkStats);
+  EXPECT_EQ(UnkStats.Dispatches, ThrStats.Dispatches);
 
   ASSERT_EQ(unsetenv("WARIO_ENGINE"), 0);
+  EXPECT_EQ(resolveEngine(EngineKind::Auto), EngineKind::Threaded)
+      << "unset must default to the threaded engine";
   EngineStats DefStats;
   EmulatorResult Default = E.run(EO, "main", nullptr, &DefStats);
-  EXPECT_GT(DefStats.SuperblockDispatches, 0u)
-      << "unset must default to the trace engine";
+  EXPECT_EQ(DefStats.Dispatches, ThrStats.Dispatches);
 
   EXPECT_TRUE(Killed == Threaded);
-  EXPECT_TRUE(Killed == Traced);
+  EXPECT_TRUE(Killed == Unknown);
   EXPECT_TRUE(Killed == Default);
 
   // An explicit option wins over the environment.
@@ -196,8 +181,8 @@ TEST(EngineEquivalenceTest, EnvKillSwitchSelectsEngine) {
   ASSERT_EQ(unsetenv("WARIO_ENGINE"), 0);
 }
 
-/// Mixed-engine snapshot resume: a chain recorded under any engine must
-/// replay under both others (chain compatibility is deliberately
+/// Mixed-engine snapshot resume: a chain recorded under either engine
+/// must replay under the other (chain compatibility is deliberately
 /// engine-blind), byte-identical to a cold run of the replaying engine.
 TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
   MModule MM = buildWorkload("crc");
@@ -206,8 +191,7 @@ TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
   EmulatorOptions Base;
   Base.CollectRegionSizes = false;
 
-  constexpr EngineKind Engines[] = {EngineKind::Interp, EngineKind::Threaded,
-                                    EngineKind::Trace};
+  constexpr EngineKind Engines[] = {EngineKind::Interp, EngineKind::Threaded};
   for (EngineKind RecEngine : Engines) {
     EmulatorOptions RecEO = Base;
     RecEO.Engine = RecEngine;
@@ -244,18 +228,16 @@ TEST(EngineEquivalenceTest, MixedEngineSnapshotResume) {
 /// high-epoch entries would otherwise alias fresh small epochs) and
 /// restarts at 1. Driving 32k regions organically is minutes of wall
 /// time, so the test reuses the documented scratch contract instead: a
-/// warm-up run primes Access with live stamps (and, under trace, builds
-/// superblocks whose elision survives into the second run), then the
-/// epoch is seeded just below the wrap so the next run crosses it
-/// mid-workload. Every engine must produce a result byte-identical to
-/// its own fresh-scratch run.
+/// warm-up run primes Access with live stamps, then the epoch is seeded
+/// just below the wrap so the next run crosses it mid-workload. Both
+/// engines must produce a result byte-identical to their own
+/// fresh-scratch run.
 TEST(EngineEquivalenceTest, EpochWrapStaysByteIdentical) {
   MModule MM = buildWorkload("crc");
   ASSERT_FALSE(MM.Functions.empty());
   Emulator E(MM);
 
-  for (EngineKind K :
-       {EngineKind::Interp, EngineKind::Threaded, EngineKind::Trace}) {
+  for (EngineKind K : {EngineKind::Interp, EngineKind::Threaded}) {
     EmulatorOptions EO;
     EO.Engine = K;
     EmulatorResult Fresh = E.run(EO);
@@ -276,5 +258,47 @@ TEST(EngineEquivalenceTest, EpochWrapStaysByteIdentical) {
     // advanced one epoch per region executed after the wrap.
     EXPECT_LT(Scr.Epoch, Seed) << engineName(K);
     EXPECT_GE(Scr.Epoch, 1u) << engineName(K);
+  }
+}
+
+/// A crash campaign's dispatch statistics describe the work, not how it
+/// was scheduled: the same campaign fanned out over one worker or two
+/// must report field-wise equal EngineStats. Per-worker scratch state
+/// that leaked into dispatch decisions (engine state carried from one
+/// run to the next on the same thread) would make them differ.
+TEST(EngineEquivalenceTest, CampaignStatsIndependentOfJobs) {
+  using namespace wario::verify;
+  const std::vector<CampaignMode> Modes{CampaignMode::RegionBoundaries,
+                                        CampaignMode::Stratified,
+                                        CampaignMode::Adversarial};
+  for (const char *Name : {"coremark", "crc"}) {
+    MModule MM = buildWorkload(Name);
+    ASSERT_FALSE(MM.Functions.empty()) << Name;
+    FaultInjectorOptions FI;
+    FI.Samples = 16;
+    FI.MaxPoints = 128;
+    FI.BaseEO.CollectRegionSizes = false;
+    // Pinned to the one fast engine: the interpreter's stats are all
+    // zero, so the test must not follow WARIO_ENGINE.
+    FI.BaseEO.Engine = EngineKind::Threaded;
+    FI.Workload = Name;
+    FI.Config = "wario";
+    FI.Jobs = 1;
+    std::vector<CrashReport> One = runCrashCampaigns(MM, FI, Modes);
+    FI.Jobs = 2;
+    std::vector<CrashReport> Two = runCrashCampaigns(MM, FI, Modes);
+    ASSERT_EQ(One.size(), Two.size()) << Name;
+    for (size_t I = 0; I != One.size(); ++I) {
+      const std::string Tag = std::string(Name) + "/" + One[I].Mode;
+      ASSERT_TRUE(One[I].Ok) << Tag << ": " << One[I].Error;
+      EXPECT_EQ(One[I].format(), Two[I].format()) << Tag;
+      EXPECT_EQ(One[I].Engine, Two[I].Engine) << Tag;
+      const EngineStats &A = One[I].Dispatch, &B = Two[I].Dispatch;
+      EXPECT_GT(A.Dispatches, 0u) << Tag;
+      EXPECT_EQ(A.Dispatches, B.Dispatches) << Tag;
+      EXPECT_EQ(A.FusedDispatches, B.FusedDispatches) << Tag;
+      EXPECT_EQ(A.FusedInstructions, B.FusedInstructions) << Tag;
+      EXPECT_EQ(A.ThreadedInstructions, B.ThreadedInstructions) << Tag;
+    }
   }
 }
